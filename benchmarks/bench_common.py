@@ -45,29 +45,6 @@ BENCH_FLOWS = 500
 BENCH_SEED = 7
 
 
-def __getattr__(name: str):
-    """Deprecation shim for the removed ``REPLAY_ENGINE`` module constant.
-
-    The constant froze the engine choice at import time; benchmark code and
-    notebooks should read ``ExperimentSpec().resolved_engine()`` (which
-    honours ``SPLIDT_REPLAY_ENGINE``) or pin
-    ``ExperimentSpec(replay_engine=...)`` instead.  Accessing the old name
-    still works — it warns and resolves through the spec layer.
-    """
-    if name == "REPLAY_ENGINE":
-        import warnings
-
-        warnings.warn(
-            "bench_common.REPLAY_ENGINE is deprecated; use "
-            "ExperimentSpec().resolved_engine() (or pass "
-            "ExperimentSpec(replay_engine=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExperimentSpec().resolved_engine()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_replay(program, dataset, **kwargs):
     """Replay ``dataset`` through ``program`` with the configured engine.
 

@@ -6,31 +6,22 @@ order (as a switch would observe them), feeds them through a program
 verdicts, classification accuracy against ground truth, time-to-detection
 distributions and recirculation statistics.
 
-Since the streaming serving layer (:mod:`repro.serve`) landed,
-:func:`replay_dataset` is a thin *adapter* over it: the whole dataset is
-ingested as one chunk into an inference engine which is then drained —
-batch replay is simply the degenerate stream.  The ``engine=`` parameter
-selects the execution strategy:
+The ``engine=`` parameter of :func:`replay_dataset` selects the execution
+strategy:
 
-* ``"reference"`` — :class:`~repro.serve.StreamingEngine`, the per-packet
-  interpreter loop.  Every packet becomes a PHV and traverses
-  ``process_packet``.  Slow, but it is the semantics oracle the batched
-  engine is verified against.
-* ``"vectorized"`` — :class:`~repro.serve.MicroBatchEngine` in deferred
-  mode, which drains through the batched machinery of
-  :mod:`repro.dataplane.vectorized`: packets live in structure-of-arrays
-  NumPy columns, flows advance in lock-step window rounds, and per-packet
-  operator updates collapse into segment reductions.  Produces bit-identical
-  verdicts, labels, time-to-detection values and recirculation statistics.
-* ``"fused"`` — :func:`repro.dataplane.vectorized.replay_arrays` called
-  directly, bypassing the serving adapter: no chunk validation, no
-  eligibility bookkeeping, one fused pass over the preallocated
-  :class:`~repro.dataplane.vectorized.ReplayWorkspace`.  Same bit-identical
-  contract as ``"vectorized"`` (asserted by ``tests/test_parity_fuzz.py``);
-  this is the fastest batch-replay path and what the throughput benchmarks
-  measure.
+* ``"reference"`` — the whole dataset is ingested as one chunk into a
+  :class:`~repro.serve.StreamingEngine`, the per-packet interpreter loop.
+  Every packet becomes a PHV and traverses ``process_packet``.  Slow, but it
+  is the semantics oracle the batched engine is verified against.
+* ``"vectorized"`` — :func:`repro.dataplane.vectorized.replay_arrays`, the
+  one batched replay path: packets live in structure-of-arrays NumPy
+  columns, flows advance in lock-step window rounds, and per-packet operator
+  updates collapse into segment reductions.  Produces bit-identical
+  verdicts, labels, time-to-detection values and recirculation statistics
+  (asserted by ``tests/test_parity_fuzz.py``).  The micro-batch serve engine
+  runs the same scalar/fast dispatch once per flush.
 
-All engines share the global packet interleave computed once by
+Both engines share the global packet interleave computed once by
 :class:`~repro.datasets.flows.PacketArrays` instead of re-sorting per call;
 when the replay needs no flow truncation or jitter, the dataset's memoised
 ``packet_arrays()`` (including its cached derived columns) is reused across
@@ -45,11 +36,11 @@ import numpy as np
 
 from repro.core.evaluation import ClassificationReport
 from repro.dataplane.splidt_program import FlowVerdict
+from repro.dataplane.vectorized import replay_arrays
 from repro.datasets.flows import Flow, FlowDataset, PacketArrays
-from repro.switch.phv import make_data_phv
 
 #: Engines accepted by :func:`replay_dataset`.
-REPLAY_ENGINES = ("reference", "vectorized", "fused")
+REPLAY_ENGINES = ("reference", "vectorized")
 
 
 @dataclass
@@ -152,21 +143,6 @@ def prepare_replay_flows(
     return shifted
 
 
-def _interleaved_packets(flows: list[Flow], soa: PacketArrays):
-    """Yield (flow, packet) pairs across all flows in global timestamp order.
-
-    Uses the ``(timestamp, flow_id)`` permutation precomputed by
-    :class:`~repro.datasets.flows.PacketArrays` — identical ordering to the
-    historical per-call ``events.sort``, without rebuilding the event list.
-    """
-    flow_starts = soa.flow_starts
-    packet_flow = soa.packet_flow
-    for position in soa.interleave_order:
-        flow_index = int(packet_flow[position])
-        flow = flows[flow_index]
-        yield flow, flow.packets[int(position - flow_starts[flow_index])]
-
-
 def replay_dataset(
     program,
     dataset: FlowDataset,
@@ -186,11 +162,9 @@ def replay_dataset(
         jitter_starts: Shift each flow's start time randomly within [0, 10) s
             so flows overlap (models concurrency).
         seed: Seed for the jitter.
-        engine: ``"reference"`` for the per-packet interpreter loop,
-            ``"vectorized"`` for the batched engine behind the serving
-            adapter, or ``"fused"`` for the direct workspace-backed batched
-            path; all produce identical results (see the module docstring
-            for the contract).
+        engine: ``"reference"`` for the per-packet interpreter loop or
+            ``"vectorized"`` for the batched engine; both produce identical
+            results (see the module docstring for the contract).
 
     Example::
 
@@ -203,10 +177,6 @@ def replay_dataset(
     if engine not in REPLAY_ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {REPLAY_ENGINES}")
 
-    # Deferred import: repro.serve sits on top of this module.
-    from repro.datasets.streams import PacketChunk
-    from repro.serve import MicroBatchEngine, StreamingEngine
-
     flows = prepare_replay_flows(
         dataset, max_flows=max_flows, jitter_starts=jitter_starts, seed=seed
     )
@@ -217,10 +187,8 @@ def replay_dataset(
     else:
         soa = PacketArrays.from_flows(flows)
 
-    if engine == "fused":
-        from repro.dataplane import vectorized as vz
-
-        vz.replay_arrays(program, flows, soa=soa)
+    if engine == "vectorized":
+        replay_arrays(program, flows, soa=soa)
         labels = {flow.flow_id: flow.label for flow in flows}
         recirculation = (
             program.recirculation_stats()
@@ -229,10 +197,11 @@ def replay_dataset(
         )
         return build_replay_result(program.verdicts, labels, recirculation)
 
-    if engine == "vectorized":
-        serving = MicroBatchEngine(program, eager=False)
-    else:
-        serving = StreamingEngine(program)
+    # Deferred import: repro.serve sits on top of this module.
+    from repro.datasets.streams import PacketChunk
+    from repro.serve import StreamingEngine
+
+    serving = StreamingEngine(program)
     serving.open()
     serving.ingest(PacketChunk(soa=soa, flows=flows, positions=soa.interleave_order))
     serving.drain()

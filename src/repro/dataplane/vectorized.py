@@ -31,15 +31,21 @@ through ``SpliDTDataPlane.step_windows``, which receives the round's subtree
 grouping and the workspace's staging list, so grouping happens once per
 round and verdict/digest objects are materialised once per replay.
 
+One function, :func:`replay_selected`, decides which flows take the scalar
+path and which the batched one.  Both batched callers go through it:
+:func:`replay_arrays` (behind ``replay_dataset(engine="vectorized")``) over
+the whole dataset, and ``MicroBatchEngine`` once per flush.
+
 Engine contract (asserted by ``tests/test_dataplane_vectorized.py`` and
 ``tests/test_parity_fuzz.py``): for any dataset,
-``replay_dataset(..., engine="vectorized")`` and ``engine="fused"`` produce
-verdicts, labels, time-to-detection values, digests and recirculation
-statistics bit-identical to ``engine="reference"``.  Only instrumentation
-differs: register read/write counters reflect one batched access per window
-boundary instead of one per packet (the scalar collision path skips the
-write-only feature-register mirror entirely), and the flow indexer's
-per-packet lookup counters are not maintained for non-colliding flows.
+``replay_dataset(..., engine="vectorized")`` and the micro-batch serve
+engine produce verdicts, labels, time-to-detection values, digests and
+recirculation statistics bit-identical to ``engine="reference"``.  Only
+instrumentation differs: register read/write counters reflect one batched
+access per window boundary instead of one per packet (the scalar collision
+path skips the write-only feature-register mirror entirely), and the flow
+indexer's per-packet lookup counters are not maintained for non-colliding
+flows.
 
 Floating-point notes:
 
@@ -882,6 +888,57 @@ def _min_decidable_packets(program) -> int:
     return 1
 
 
+def replay_selected(
+    program,
+    flows: list[Flow],
+    soa: PacketArrays,
+    slots: np.ndarray,
+    indices: np.ndarray,
+    *,
+    forced: np.ndarray | None = None,
+    prefix_counts: np.ndarray | None = None,
+    workspace: ReplayWorkspace | None = None,
+) -> np.ndarray:
+    """Replay the flows at ``indices``: scalar where they collide, batched elsewhere.
+
+    The one scalar/fast dispatch of the batched engine, shared by
+    :func:`replay_arrays` (all populated flows at once) and
+    ``MicroBatchEngine`` (one flush at a time).  :func:`_split_scalar_fast`
+    partitions the selection; the scalar flows replay per packet in global
+    interleave order (restricted to ``prefix_counts`` packets per flow when
+    given), then the rest advance through the SpliDT window rounds or the
+    TopK whole-flow batch.  Programs with neither batched API replay every
+    selected flow per packet.  ``forced`` (aligned with ``indices``) pins
+    rows to the scalar path.
+
+    Returns the indices replayed on the scalar path.  A caller that replays
+    the same traffic over several calls must treat their register slots as
+    poisoned from then on: a scalar cluster may leave live state in its slot
+    (even when every member decided), which the next flow hashed there
+    inherits.
+    """
+    if hasattr(program, "step_windows") or hasattr(program, "classify_flow_batch"):
+        scalar_rows = _split_scalar_fast(
+            soa, flows, slots, indices,
+            forced=forced, min_packets=_min_decidable_packets(program),
+        )
+    else:
+        scalar_rows = np.ones(indices.size, dtype=bool)
+    scalar = indices[scalar_rows]
+    fast = indices[~scalar_rows]
+
+    if scalar.size:
+        mask = np.zeros(soa.n_flows, dtype=bool)
+        mask[scalar] = True
+        _replay_scalar(program, flows, soa, mask, prefix_counts=prefix_counts)
+    if fast.size:
+        if hasattr(program, "step_windows"):
+            _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
+        else:
+            _replay_topk_batched(program, soa, fast)
+    return scalar
+
+
 def replay_arrays(
     program,
     flows: list[Flow],
@@ -892,10 +949,8 @@ def replay_arrays(
 
     Populates ``program.verdicts`` (and, for SpliDT, the controller digests
     and recirculation counters) exactly as the per-packet reference loop
-    would.  Flows that share a register slot with temporal overlap (or a
-    repeated five-tuple) are delegated to the scalar path; everything else
-    advances in fused vectorized window rounds, reusing ``workspace``
-    buffers when one is passed.
+    would, by one :func:`replay_selected` call over every populated flow.
+    This is what ``replay_dataset(engine="vectorized")`` runs.
 
     Example::
 
@@ -905,34 +960,8 @@ def replay_arrays(
     """
     if soa is None:
         soa = PacketArrays.from_flows(flows)
-    if soa.n_flows == 0:
-        return
-
-    table_size = program.indexer.table_size
-    slots = cached_flow_slots(soa, flows, table_size)
     populated = np.flatnonzero(soa.n_packets_per_flow > 0)
     if populated.size == 0:
         return
-
-    has_batched = hasattr(program, "step_windows") or hasattr(program, "classify_flow_batch")
-    if has_batched:
-        scalar_rows = _split_scalar_fast(
-            soa, flows, slots, populated, min_packets=_min_decidable_packets(program)
-        )
-        scalar_indices = populated[scalar_rows]
-        fast = populated[~scalar_rows]
-    else:
-        scalar_indices = populated
-        fast = np.empty(0, dtype=np.intp)
-
-    if scalar_indices.size:
-        mask = np.zeros(soa.n_flows, dtype=bool)
-        mask[scalar_indices] = True
-        _replay_scalar(program, flows, soa, mask)
-
-    if fast.size == 0:
-        return
-    if hasattr(program, "step_windows"):
-        _replay_splidt_batched(program, soa, fast, slots, workspace=workspace)
-    else:
-        _replay_topk_batched(program, soa, fast)
+    slots = cached_flow_slots(soa, flows, program.indexer.table_size)
+    replay_selected(program, flows, soa, slots, populated, workspace=workspace)

@@ -1,22 +1,25 @@
-"""Shared-memory construction and lifetime for :class:`PacketArrays`.
+"""Shared-memory construction and lifetime for named NumPy arrays.
 
 The process-sharded serving engine (:mod:`repro.serve.process_sharded`)
 ships packets to worker *processes*.  Pickling per-chunk packet payloads
-through a queue would copy every column on every chunk; instead the whole
-structure-of-arrays source is placed once into a single
-:class:`multiprocessing.shared_memory.SharedMemory` segment, and workers
-attach **zero-copy NumPy views** over the same pages.  Per-chunk messages
-then carry only packet *positions* (a few bytes per packet), exactly like
-the in-process :class:`~repro.datasets.streams.PacketChunk` contract.
+through a queue would copy every column on every chunk; instead the
+:class:`PacketArrays` columns (:func:`packet_columns`) are placed once into
+a single :class:`multiprocessing.shared_memory.SharedMemory` segment by a
+:class:`SharedArrayBundle`, and workers attach **zero-copy NumPy views**
+over the same pages and rebuild ``PacketArrays(**bundle.arrays)``.
+Per-chunk messages then carry only packet *positions* (a few bytes per
+packet), exactly like the in-process
+:class:`~repro.datasets.streams.PacketChunk` contract.  The parallel DSE
+pool shares its training matrices the same way.
 
 Lifetime discipline (who may do what):
 
-* the **owner** (the process that called :meth:`SharedPacketArrays.create`)
-  is the only one allowed to :meth:`unlink` the segment — doing so removes
-  the backing file under ``/dev/shm`` once every attached process has also
-  closed its mapping;
-* **attachers** (:meth:`SharedPacketArrays.attach`) only ever
-  :meth:`close` their mapping — never unlink; the shared
+* the **owner** (the process that called :meth:`SharedArrayBundle.create`)
+  is the only one allowed to :meth:`~SharedArrayBundle.unlink` the segment —
+  doing so removes the backing file under ``/dev/shm`` once every attached
+  process has also closed its mapping;
+* **attachers** (:meth:`SharedArrayBundle.attach`) only ever
+  :meth:`~SharedArrayBundle.close` their mapping — never unlink; the shared
   :mod:`multiprocessing.resource_tracker` keeps exactly one registration
   per name, released by the owner's unlink (and reclaimed by the tracker
   itself if the owner is killed before it can clean up);
@@ -42,7 +45,7 @@ from repro.datasets.flows import Packet, PacketArrays
 #: Byte alignment of every column inside the segment (cache-line friendly).
 _ALIGN = 64
 
-#: Prefix of every segment created by :meth:`SharedPacketArrays.create`.
+#: Default prefix of the segments created by :meth:`SharedArrayBundle.create`.
 SEGMENT_PREFIX = "splidt-soa"
 
 #: Mount point backing POSIX shared memory on Linux.
@@ -84,7 +87,7 @@ def _align(offset: int) -> int:
 def create_segment(size: int, *, prefix: str = SEGMENT_PREFIX) -> shared_memory.SharedMemory:
     """Allocate a fresh named segment with capacity preflight and a nonce name.
 
-    Shared by :meth:`SharedPacketArrays.create` and the serve-path ring
+    Shared by :meth:`SharedArrayBundle.create` and the serve-path ring
     buffers (:mod:`repro.serve.ring`): the requested size is checked against
     the free space under ``/dev/shm`` first (raising
     :class:`SharedMemoryCapacityError` with both sizes), and the
@@ -182,9 +185,24 @@ def flows_from_meta(meta: list[tuple], soa: PacketArrays) -> list[SharedFlowView
     ]
 
 
+def packet_columns(soa: PacketArrays) -> dict[str, np.ndarray]:
+    """The columns of ``soa`` that a :class:`SharedArrayBundle` shares.
+
+    These are the ``PacketArrays`` init fields, so an attacher rebuilds the
+    arrays with ``PacketArrays(**bundle.arrays)``.  Process-local caches
+    (e.g. the derived-column dict) are not columns; each process rebuilds
+    its own.
+    """
+    return {
+        field_.name: getattr(soa, field_.name)
+        for field_ in fields(PacketArrays)
+        if field_.init
+    }
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Location of one :class:`PacketArrays` column inside the segment."""
+    """Location of one shared array inside the segment."""
 
     name: str
     dtype: str
@@ -197,8 +215,8 @@ class SharedArraysLayout:
     """Picklable description of a shared segment: its name plus column map.
 
     This is the only thing that crosses the process boundary — a worker
-    rebuilds the full :class:`PacketArrays` from it with
-    :meth:`SharedPacketArrays.attach` without copying any packet data.
+    rebuilds every array from it with :meth:`SharedArrayBundle.attach`
+    without copying any data.
     """
 
     segment: str
@@ -209,18 +227,17 @@ class SharedArraysLayout:
 class SharedArrayBundle:
     """A named dict of NumPy arrays living in one shared-memory segment.
 
-    The generic sibling of :class:`SharedPacketArrays`: where that class is
-    welded to the :class:`PacketArrays` column set, this one shares *any*
-    ``{name: ndarray}`` mapping — the parallel DSE pool uses it to place a
+    The process-sharded serve engine shares :func:`packet_columns` through
+    it; the parallel DSE pool places a
     :class:`~repro.datasets.materialize.WindowedDataset`'s arrays into
     shared memory once, so every evaluator worker attaches zero-copy views
     instead of re-pickling the training matrices per candidate.
 
-    Lifetime discipline is identical to :class:`SharedPacketArrays`
-    (owner unlinks, attachers only close, both idempotent).  Segments are
-    named ``<prefix>-<pid>-<nonce>``; the DSE pool passes
-    ``prefix="splidt-dse"`` so its segments are distinguishable from the
-    serve path's ``splidt-soa``/``splidt-ring`` under ``/dev/shm``.
+    Lifetime: the owner unlinks, attachers only close, both idempotent (see
+    the module docstring).  Segments are named ``<prefix>-<pid>-<nonce>``;
+    the DSE pool passes ``prefix="splidt-dse"`` so its segments are
+    distinguishable from the serve path's ``splidt-soa``/``splidt-ring``
+    under ``/dev/shm``.
 
     Example::
 
@@ -250,7 +267,13 @@ class SharedArrayBundle:
     def create(
         cls, arrays: dict[str, np.ndarray], *, prefix: str = SEGMENT_PREFIX
     ) -> "SharedArrayBundle":
-        """Copy ``arrays`` into a fresh segment (caller becomes owner)."""
+        """Copy ``arrays`` into a fresh segment (caller becomes owner).
+
+        The requested size is validated against the free space under
+        ``/dev/shm`` first: an oversized workload raises
+        :class:`SharedMemoryCapacityError` up front (naming the two sizes)
+        instead of surfacing as a raw ``OSError`` mid-copy.
+        """
         columns: list[ColumnSpec] = []
         offset = 0
         source: dict[str, np.ndarray] = {}
@@ -280,7 +303,15 @@ class SharedArrayBundle:
 
     @classmethod
     def attach(cls, layout: SharedArraysLayout) -> "SharedArrayBundle":
-        """Map an existing segment and rebuild zero-copy views."""
+        """Map an existing segment and rebuild zero-copy views.
+
+        Worker processes share the parent's
+        ``multiprocessing.resource_tracker``, whose per-name cache is a set:
+        attaching re-registers the same name at no cost, and the owner's
+        :meth:`unlink` unregisters it exactly once.  A hard-crashed session
+        (parent SIGKILLed before ``unlink``) is still reclaimed by the
+        tracker at shutdown.
+        """
         shm = shared_memory.SharedMemory(name=layout.segment)
         return cls(shm, cls._views(shm, layout), layout, owner=False)
 
@@ -308,165 +339,10 @@ class SharedArrayBundle:
         return self._shm is None
 
     def close(self) -> None:
-        """Release this process's mapping (idempotent, never raises)."""
-        self._arrays = None
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:  # a foreign view still pins the mapping
-            return
-        self._shm = None
-
-    def unlink(self) -> None:
-        """Remove the segment's backing file (owner only; idempotent)."""
-        if not self.owner or self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            if self._shm is not None:
-                self._shm.unlink()
-            else:  # mapping already closed: reattach just to remove the name
-                handle = shared_memory.SharedMemory(name=self.layout.segment)
-                handle.unlink()
-                handle.close()
-        except FileNotFoundError:
-            pass
-
-    def __enter__(self) -> "SharedArrayBundle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.owner:
-            self.unlink()
-        self.close()
-
-
-class SharedPacketArrays:
-    """A :class:`PacketArrays` whose columns live in one shared-memory segment.
-
-    Example::
-
-        >>> shared = SharedPacketArrays.create(dataset.packet_arrays())
-        >>> layout = shared.layout            # picklable; send to workers
-        >>> view = SharedPacketArrays.attach(layout)   # in another process
-        >>> view.arrays.n_packets == shared.arrays.n_packets
-        True
-        >>> view.close(); shared.unlink(); shared.close()
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        arrays: PacketArrays,
-        layout: SharedArraysLayout,
-        *,
-        owner: bool,
-    ) -> None:
-        self._shm: shared_memory.SharedMemory | None = shm
-        self._arrays: PacketArrays | None = arrays
-        self.layout = layout
-        self.owner = owner
-        self._unlinked = False
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, soa: PacketArrays) -> "SharedPacketArrays":
-        """Copy ``soa``'s columns into a fresh segment (caller becomes owner).
-
-        The copy happens exactly once per serving session; afterwards any
-        number of processes can attach views without further copies.
-
-        The requested size is validated against the free space under
-        ``/dev/shm`` first: an oversized workload raises
-        :class:`SharedMemoryCapacityError` up front (naming the two sizes)
-        instead of surfacing as a raw ``OSError`` mid-copy.
-        """
-        columns: list[ColumnSpec] = []
-        offset = 0
-        source = {}
-        for field_ in fields(PacketArrays):
-            if not field_.init:
-                # Process-local caches (e.g. the derived-column dict) are not
-                # columns; each process rebuilds its own.
-                continue
-            column = np.ascontiguousarray(getattr(soa, field_.name))
-            offset = _align(offset)
-            columns.append(
-                ColumnSpec(
-                    name=field_.name,
-                    dtype=column.dtype.str,
-                    shape=tuple(column.shape),
-                    offset=offset,
-                )
-            )
-            source[field_.name] = column
-            offset += column.nbytes
-        size = max(offset, 1)
-        shm = create_segment(size)
-        for spec in columns:
-            view = np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf, offset=spec.offset
-            )
-            view[...] = source[spec.name]
-            del view  # keep no exported buffer views: close() must not fail
-        layout = SharedArraysLayout(segment=shm.name, size=size, columns=tuple(columns))
-        arrays = cls._views(shm, layout)
-        return cls(shm, arrays, layout, owner=True)
-
-    @classmethod
-    def attach(cls, layout: SharedArraysLayout) -> "SharedPacketArrays":
-        """Map an existing segment and rebuild zero-copy column views.
-
-        Registration bookkeeping: worker processes share the parent's
-        ``multiprocessing.resource_tracker``, whose per-name cache is a set —
-        attaching re-registers the same name at no cost, and the owner's
-        :meth:`unlink` unregisters it exactly once.  A hard-crashed session
-        (parent SIGKILLed before ``unlink``) is therefore still reclaimed by
-        the tracker at shutdown.
-        """
-        shm = shared_memory.SharedMemory(name=layout.segment)
-        return cls(shm, cls._views(shm, layout), layout, owner=False)
-
-    @staticmethod
-    def _views(shm: shared_memory.SharedMemory, layout: SharedArraysLayout) -> PacketArrays:
-        kwargs = {
-            spec.name: np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf, offset=spec.offset
-            )
-            for spec in layout.columns
-        }
-        return PacketArrays(**kwargs)
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    @property
-    def arrays(self) -> PacketArrays:
-        """The shared-memory-backed :class:`PacketArrays` view.
-
-        Raises :class:`RuntimeError` after :meth:`close` — the views would
-        reference unmapped pages.
-        """
-        if self._arrays is None:
-            raise RuntimeError("shared packet arrays are closed")
-        return self._arrays
-
-    @property
-    def closed(self) -> bool:
-        """Whether this process's mapping has been released."""
-        return self._shm is None
-
-    # ------------------------------------------------------------------
-    # Lifetime
-    # ------------------------------------------------------------------
-    def close(self) -> None:
         """Release this process's mapping (idempotent, never raises).
 
-        Drops the column views first — NumPy holds exported pointers into
-        the mapping, and ``SharedMemory.close`` refuses to unmap while any
+        Drops the views first — NumPy holds exported pointers into the
+        mapping, and ``SharedMemory.close`` refuses to unmap while any
         exist.  If some *other* object still holds a view (e.g. an engine
         that buffered a chunk), the unmap is skipped silently; the pages are
         reclaimed when that reference dies or the process exits.
@@ -501,7 +377,7 @@ class SharedPacketArrays:
         except FileNotFoundError:
             pass
 
-    def __enter__(self) -> "SharedPacketArrays":
+    def __enter__(self) -> "SharedArrayBundle":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -517,8 +393,8 @@ __all__ = [
     "SharedArraysLayout",
     "SharedFlowView",
     "SharedMemoryCapacityError",
-    "SharedPacketArrays",
     "create_segment",
     "flow_meta",
     "flows_from_meta",
+    "packet_columns",
 ]

@@ -210,7 +210,8 @@ class ExperimentSpec:
         target: Hardware target name (``"tofino1"`` …).
         target_flows: Concurrent-flow target used for baseline model search
             and feasibility checks.
-        replay_engine: ``"reference"``, ``"vectorized"`` or ``"fused"``;
+        replay_engine: ``"reference"`` (the per-packet oracle) or
+            ``"vectorized"`` (the batched window plane, bit-identical);
             ``None`` defers to ``SPLIDT_REPLAY_ENGINE`` (default
             ``"vectorized"``).
         lookup: Model-table lookup strategy of the batched paths —

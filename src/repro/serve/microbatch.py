@@ -17,20 +17,18 @@ eager flush once three conditions hold:
 3. **unblocked** — no *other* live (seen, unflushed, non-eligible) flow
    occupies the same register slot.
 
-Flows flushed together that share a slot with temporal overlap (or a
-repeated five-tuple), and flows whose stream ended mid-flow (prefixes), are
-delegated to the per-packet scalar path in global interleave order — exactly
-the collision discipline of ``replay_dataset(engine="vectorized")`` — so the
-results after ``drain`` are bit-identical to the reference loop for **any**
+Each flush is one :func:`~repro.dataplane.vectorized.replay_selected` call,
+the same scalar/fast dispatch ``replay_dataset(engine="vectorized")`` runs
+over the whole dataset.  Flows flushed together that share a slot with
+temporal overlap (or a repeated five-tuple), flows whose stream ended
+mid-flow (prefixes), and flows in a slot an earlier flush replayed per
+packet go to the scalar path in global interleave order, so the results
+after ``drain`` are bit-identical to the reference loop for **any**
 chunking of the stream.
 
 Each engine owns one :class:`~repro.dataplane.vectorized.ReplayWorkspace`
 shared by all its flushes, so the per-round buffers of the fused window
 plane are allocated once per session, not once per flush.
-
-With ``eager=False`` the engine never flushes before ``drain`` and the whole
-session collapses to one vectorized batch — the ingest-everything-then-drain
-adapter shape ``replay_dataset(engine="vectorized")`` uses.
 """
 
 from __future__ import annotations
@@ -54,15 +52,11 @@ class MicroBatchEngine(InferenceEngine):
     Args:
         program: The data-plane program (``SpliDTDataPlane``,
             ``TopKDataPlane``, or anything exposing ``process_packet``).
-        eager: Flush completed flows while the stream is still running
-            (``False`` defers everything to ``drain`` — one big batch).
         flush_flows: Eager-flush threshold: buffer at least this many
             eligible flows before a flush (amortises the per-flush vectorized
             setup).
         backpressure: Maximum buffered (unprocessed) packets before
             :class:`~repro.serve.engine.BackpressureError` is raised.
-            Enforced only in eager mode — deferred mode buffers the whole
-            stream by design.
 
     Example::
 
@@ -79,7 +73,6 @@ class MicroBatchEngine(InferenceEngine):
         self,
         program,
         *,
-        eager: bool = True,
         flush_flows: int = DEFAULT_FLUSH_FLOWS,
         backpressure: int = DEFAULT_BACKPRESSURE,
     ) -> None:
@@ -91,7 +84,6 @@ class MicroBatchEngine(InferenceEngine):
         if backpressure < 1:
             raise ServeError(f"backpressure must be >= 1, got {backpressure}")
         self.program = program
-        self.eager = eager
         self.flush_flows = flush_flows
         self.backpressure = backpressure
         self._slots: np.ndarray | None = None
@@ -127,7 +119,6 @@ class MicroBatchEngine(InferenceEngine):
     def _successor_engine(self, program_factory) -> "MicroBatchEngine":
         child = MicroBatchEngine(
             program_factory(),
-            eager=self.eager,
             flush_flows=self.flush_flows,
             backpressure=self.backpressure,
         )
@@ -212,10 +203,6 @@ class MicroBatchEngine(InferenceEngine):
             self._complete_unflushed += int(np.count_nonzero(
                 (self._buffered[touched] == totals[touched]) & (totals[touched] > 0)
             ))
-        if not self.eager:
-            # Deferred mode buffers the whole stream by design (the
-            # ingest-everything-then-drain adapter); no backpressure bound.
-            return
         # The O(n_flows) eligibility scan only pays off once enough flows
         # have completed to possibly trigger a flush.
         if (self._complete_unflushed >= self.flush_flows
@@ -255,49 +242,23 @@ class MicroBatchEngine(InferenceEngine):
     def _flush(self, indices: np.ndarray) -> None:
         """Push the selected flows through the program (scalar first, then batched).
 
-        Mirrors :func:`repro.dataplane.vectorized.replay_arrays`: flows that
-        share a register slot with temporal overlap *within this flush* —
-        plus flows whose buffered packets are only a prefix, and flows whose
-        slot is *dirty* (an earlier collision flow ended undecided there,
-        leaving live register state a later flow inherits on hardware) —
-        replay per-packet in global interleave order; everything else
-        advances through the batched window rounds
-        (:func:`repro.dataplane.vectorized._split_scalar_fast` documents the
-        full partition rule).
+        Forced scalar, besides what
+        :func:`repro.dataplane.vectorized._split_scalar_fast` decides within
+        the flush: flows whose buffered packets are only a prefix, slots
+        with a repeated five-tuple, and *dirty* slots.  A slot turns dirty
+        once any flow in it has replayed per packet, decided or not: the
+        scalar path may leave live register state that the next flow hashed
+        there inherits on hardware, so the slot stays scalar for good.
         """
-        soa, flows, program = self._soa, self._flows, self.program
-        complete = self._buffered[indices] == soa.n_packets_per_flow[indices]
+        complete = self._buffered[indices] == self._soa.n_packets_per_flow[indices]
         dirty = self._dirty_slots[self._slots[indices]]
-        scalar = vz._split_scalar_fast(
-            soa, flows, self._slots, indices,
+        scalar = vz.replay_selected(
+            self.program, self._flows, self._soa, self._slots, indices,
             forced=~complete | dirty | self._forced_scalar[indices],
-            min_packets=vz._min_decidable_packets(program),
+            prefix_counts=self._buffered,
+            workspace=self._workspace,
         )
-        scalar_indices = indices[scalar]
-        fast_indices = indices[~scalar]
-
-        if scalar_indices.size:
-            mask = np.zeros(soa.n_flows, dtype=bool)
-            mask[scalar_indices] = True
-            vz._replay_scalar(program, flows, soa, mask, prefix_counts=self._buffered)
-            # A scalar-path flow that ended without a verdict left undecided
-            # state in its register slot; on hardware the next flow hashed
-            # there continues that state, so the slot stays scalar for good.
-            decided = program.verdicts
-            for flow_index in scalar_indices:
-                if flows[flow_index].flow_id not in decided:
-                    self._dirty_slots[self._slots[flow_index]] = True
-        if fast_indices.size:
-            if hasattr(program, "step_windows"):
-                vz._replay_splidt_batched(
-                    program, soa, fast_indices, self._slots, workspace=self._workspace
-                )
-            elif hasattr(program, "classify_flow_batch"):
-                vz._replay_topk_batched(program, soa, fast_indices)
-            else:
-                mask = np.zeros(soa.n_flows, dtype=bool)
-                mask[fast_indices] = True
-                vz._replay_scalar(program, flows, soa, mask, prefix_counts=self._buffered)
+        self._dirty_slots[self._slots[scalar]] = True
 
         self._pending -= int(self._buffered[indices].sum())
         self._flushed[indices] = True

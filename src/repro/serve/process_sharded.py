@@ -7,7 +7,7 @@ shards are configured.  This module lifts the same partitioning onto worker
 **processes**:
 
 * the structure-of-arrays packet source is placed once into a
-  :class:`~repro.datasets.shm.SharedPacketArrays` segment; every worker
+  :class:`~repro.datasets.shm.SharedArrayBundle` segment; every worker
   attaches zero-copy NumPy views over the same pages;
 * per-chunk messages carry only packet *positions* (``intp`` indices into
   the shared columns) — over one of two transports:
@@ -70,7 +70,8 @@ import weakref
 import numpy as np
 
 from repro.affinity import resolve_affinity
-from repro.datasets.shm import SharedPacketArrays, flow_meta, flows_from_meta
+from repro.datasets.flows import PacketArrays
+from repro.datasets.shm import SharedArrayBundle, flow_meta, flows_from_meta, packet_columns
 from repro.datasets.streams import PacketChunk
 from repro.serve.engine import (
     InferenceEngine,
@@ -233,8 +234,8 @@ def _worker_main(
         if message[0] != "attach":
             return  # session closed without traffic
         layout, meta, slots = pickle.loads(message[1])
-        shared = SharedPacketArrays.attach(layout)
-        soa = shared.arrays
+        shared = SharedArrayBundle.attach(layout)
+        soa = PacketArrays(**shared.arrays)
         # Flow *metadata* only crossed the boundary; packets come from the
         # shared columns, materialised lazily (scalar/streaming paths only).
         flows = flows_from_meta(meta, soa)
@@ -308,7 +309,7 @@ def _worker_main(
                     results.put(("error", index, traceback.format_exc()))
     except _ParentLost:
         pass  # orphaned: fall through to teardown
-    del engine  # drop chunk/soa references so the shared mapping can unmap
+    del engine, flows, soa  # drop every view so the shared mapping can unmap
     if ring is not None:
         ring.close()
     shared.close()
@@ -475,7 +476,7 @@ class ProcessShardedEngine(InferenceEngine):
         self._processes: list = []
         self._task_queues: list = []
         self._results = None
-        self._shared: SharedPacketArrays | None = None
+        self._shared: SharedArrayBundle | None = None
         self._rings: list[SpscRing] = []
         #: Everything unlink-able, in creation order (finalizer sees appends).
         self._segments: list = []
@@ -585,7 +586,7 @@ class ProcessShardedEngine(InferenceEngine):
 
         from repro.switch.hashing import flow_slots
 
-        self._shared = SharedPacketArrays.create(self._soa)
+        self._shared = SharedArrayBundle.create(packet_columns(self._soa))
         self._segments.append(self._shared)
         slots = flow_slots(self._flows, self._table_size)
         self._shard_of_flow = (slots % self.workers).astype(np.intp)

@@ -289,7 +289,7 @@ class SpscRing:
         return int(self._header[_CONS_STALLS])
 
     # ------------------------------------------------------------------
-    # Lifetime (same discipline as SharedPacketArrays)
+    # Lifetime (same discipline as SharedArrayBundle)
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:

@@ -1,9 +1,9 @@
 """Shared-memory lifecycle tests for :mod:`repro.datasets.shm`.
 
 The process-sharded serving engine depends on three properties checked
-here: attach is a bit-exact zero-copy view of every column, close/unlink
-are idempotent in any order, and an unlinked segment leaves no trace under
-``/dev/shm``.
+here: a :class:`SharedArrayBundle` of :func:`packet_columns` rebuilds every
+``PacketArrays`` column bit-exactly, close/unlink are idempotent in any
+order, and an unlinked segment leaves no trace under ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from repro.datasets.flows import PacketArrays
-from repro.datasets.shm import SEGMENT_PREFIX, SharedPacketArrays
+from repro.datasets.shm import SEGMENT_PREFIX, SharedArrayBundle, packet_columns
 
 
 def _segment_exists(name: str) -> bool:
     return os.path.exists(os.path.join("/dev/shm", name))
+
+
+def _share(soa: PacketArrays) -> SharedArrayBundle:
+    return SharedArrayBundle.create(packet_columns(soa))
 
 
 @pytest.fixture()
@@ -29,54 +33,52 @@ def soa(small_dataset) -> PacketArrays:
 
 class TestRoundTrip:
     def test_every_column_is_bit_identical(self, soa):
-        shared = SharedPacketArrays.create(soa)
+        shared = _share(soa)
         try:
-            view = SharedPacketArrays.attach(shared.layout)
+            view = SharedArrayBundle.attach(shared.layout)
+            rebuilt = PacketArrays(**view.arrays)
             for field_ in fields(PacketArrays):
                 if not field_.init:
                     continue  # process-local caches are not shared columns
                 original = getattr(soa, field_.name)
-                copy = getattr(view.arrays, field_.name)
+                copy = getattr(rebuilt, field_.name)
                 assert copy.dtype == original.dtype, field_.name
                 assert np.array_equal(copy, original), field_.name
+            del rebuilt
             view.close()
         finally:
             shared.unlink()
             shared.close()
 
-    def test_attached_view_is_zero_copy(self, soa):
-        # Writing through the owner's segment must be visible to the
-        # attacher: both sides map the same pages.
-        shared = SharedPacketArrays.create(soa)
+    def test_derived_cache_is_not_shared(self, soa):
+        soa.derived["probe"] = np.arange(3)
         try:
-            writer = SharedPacketArrays.attach(shared.layout)
-            reader = SharedPacketArrays.attach(shared.layout)
-            writer.arrays.timestamps[0] = 123.456
-            assert reader.arrays.timestamps[0] == 123.456
-            writer.close()
-            reader.close()
+            assert "derived" not in packet_columns(soa)
+            with _share(soa) as shared:
+                assert "derived" not in shared.arrays
+                assert PacketArrays(**shared.arrays).derived == {}
         finally:
-            shared.unlink()
-            shared.close()
+            del soa.derived["probe"]
 
     def test_layout_is_picklable(self, soa):
         import pickle
 
-        shared = SharedPacketArrays.create(soa)
+        shared = _share(soa)
         try:
             layout = pickle.loads(pickle.dumps(shared.layout))
-            view = SharedPacketArrays.attach(layout)
-            assert view.arrays.n_packets == soa.n_packets
+            view = SharedArrayBundle.attach(layout)
+            assert PacketArrays(**view.arrays).n_packets == soa.n_packets
             view.close()
         finally:
             shared.unlink()
             shared.close()
 
     def test_empty_dataset(self):
-        shared = SharedPacketArrays.create(PacketArrays.from_flows([]))
+        shared = _share(PacketArrays.from_flows([]))
         try:
-            view = SharedPacketArrays.attach(shared.layout)
-            assert view.arrays.n_flows == 0 and view.arrays.n_packets == 0
+            view = SharedArrayBundle.attach(shared.layout)
+            rebuilt = PacketArrays(**view.arrays)
+            assert rebuilt.n_flows == 0 and rebuilt.n_packets == 0
             view.close()
         finally:
             shared.unlink()
@@ -85,7 +87,7 @@ class TestRoundTrip:
 
 class TestLifetime:
     def test_segment_named_and_removed_on_unlink(self, soa):
-        shared = SharedPacketArrays.create(soa)
+        shared = _share(soa)
         name = shared.layout.segment
         assert name.startswith(SEGMENT_PREFIX)
         assert _segment_exists(name)
@@ -93,39 +95,18 @@ class TestLifetime:
         shared.close()
         assert not _segment_exists(name)
 
-    def test_close_and_unlink_are_idempotent(self, soa):
-        shared = SharedPacketArrays.create(soa)
-        shared.unlink()
-        shared.unlink()
-        shared.close()
-        shared.close()
-        assert shared.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            shared.arrays
-
     def test_unlink_after_close_still_removes_the_name(self, soa):
         # Reverse order: the mapping is gone but the name must still be
         # reclaimable (the crash-cleanup path can hit this ordering).
-        shared = SharedPacketArrays.create(soa)
+        shared = _share(soa)
         name = shared.layout.segment
         shared.close()
         assert _segment_exists(name)
         shared.unlink()
         assert not _segment_exists(name)
 
-    def test_attacher_cannot_unlink(self, soa):
-        shared = SharedPacketArrays.create(soa)
-        try:
-            view = SharedPacketArrays.attach(shared.layout)
-            view.unlink()  # non-owner: must be a no-op
-            assert _segment_exists(shared.layout.segment)
-            view.close()
-        finally:
-            shared.unlink()
-            shared.close()
-
     def test_context_manager_owner_unlinks(self, soa):
-        with SharedPacketArrays.create(soa) as shared:
+        with _share(soa) as shared:
             name = shared.layout.segment
             assert _segment_exists(name)
         assert not _segment_exists(name)
@@ -137,7 +118,7 @@ class TestCapacityPreflight:
 
         monkeypatch.setattr(shm_module, "_shm_bytes_available", lambda: 1024)
         with pytest.raises(shm_module.SharedMemoryCapacityError) as excinfo:
-            SharedPacketArrays.create(soa)
+            _share(soa)
         assert excinfo.value.available == 1024
         assert excinfo.value.requested > 1024
         assert "/dev/shm" in str(excinfo.value)
@@ -148,16 +129,16 @@ class TestCapacityPreflight:
         from repro.datasets import shm as shm_module
 
         monkeypatch.setattr(shm_module, "_shm_bytes_available", lambda: None)
-        with SharedPacketArrays.create(soa) as shared:
-            assert shared.arrays.n_packets == soa.n_packets
+        with _share(soa) as shared:
+            assert PacketArrays(**shared.arrays).n_packets == soa.n_packets
 
     def test_fitting_segment_passes_preflight(self, soa):
-        with SharedPacketArrays.create(soa) as shared:
-            assert shared.arrays.n_packets == soa.n_packets
+        with _share(soa) as shared:
+            assert PacketArrays(**shared.arrays).n_packets == soa.n_packets
 
 
 class TestSharedArrayBundle:
-    """The generic bundle used by the parallel DSE pool."""
+    """The bundle with arbitrary arrays, as the parallel DSE pool uses it."""
 
     @pytest.fixture()
     def payload(self) -> dict:
@@ -170,8 +151,6 @@ class TestSharedArrayBundle:
         }
 
     def test_roundtrip_is_exact(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
         with SharedArrayBundle.create(payload) as shared:
             view = SharedArrayBundle.attach(shared.layout)
             try:
@@ -185,8 +164,6 @@ class TestSharedArrayBundle:
                 view.close()
 
     def test_views_are_zero_copy(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
         with SharedArrayBundle.create(payload) as shared:
             view = SharedArrayBundle.attach(shared.layout)
             try:
@@ -196,16 +173,12 @@ class TestSharedArrayBundle:
                 view.close()
 
     def test_prefix_names_the_segment(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
         with SharedArrayBundle.create(payload, prefix="splidt-dse") as shared:
             assert shared.layout.segment.startswith("splidt-dse-")
             assert _segment_exists(shared.layout.segment)
         assert not _segment_exists(shared.layout.segment)
 
     def test_attacher_cannot_unlink_and_close_is_idempotent(self, payload):
-        from repro.datasets.shm import SharedArrayBundle
-
         shared = SharedArrayBundle.create(payload)
         try:
             view = SharedArrayBundle.attach(shared.layout)

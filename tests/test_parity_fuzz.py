@@ -8,9 +8,9 @@ times, single-packet flows, empty flows, truncated streams — and every trace
 is replayed through
 
 * ``engine="reference"`` (the per-packet oracle),
-* ``engine="vectorized"`` (the serving-adapter batched path),
-* ``engine="fused"`` (the direct workspace-backed batched path), and
-* an eager :class:`~repro.serve.MicroBatchEngine` fed randomly sized chunks,
+* ``engine="vectorized"`` (the batched path), and
+* a :class:`~repro.serve.MicroBatchEngine` fed randomly sized chunks, and
+  one fed the whole stream as a single chunk,
 
 asserting bit-identical verdicts (label, decision time, first-packet time,
 recirculation count, early-exit flag), controller digests (as an unordered
@@ -131,64 +131,77 @@ def _diff(name: str, oracle: dict, candidate: dict) -> str | None:
     return f"{name}: snapshots diverge"
 
 
-def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> str | None:
-    """Replay one trace through all engines; return a mismatch description."""
-    dataset = _dataset(flows)
-    snapshots = {}
-    for engine in ("reference", "vectorized", "fused"):
-        program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
-        result = replay_dataset(program, dataset, engine=engine)
-        snapshots[engine] = _snapshot(program, result)
-
-    # Eager micro-batch with randomly sized chunks.
-    program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
-    serving = MicroBatchEngine(
-        program, eager=True, flush_flows=chunk_rng.choice((1, 2, 8))
-    )
-    serving.open()
+def _serve(program, make_engine, dataset, positions, chunk_rng=None) -> dict:
+    """Snapshot of a session fed ``positions`` in random-size chunks, or one chunk."""
+    engine = make_engine(program)
+    engine.open()
     soa = dataset.packet_arrays()
-    order = soa.interleave_order
     position = 0
     while True:
-        step = chunk_rng.randint(1, max(1, order.size // 3 or 1))
-        serving.ingest(
+        step = (
+            positions.size if chunk_rng is None
+            else chunk_rng.randint(1, max(1, positions.size // 3 or 1))
+        )
+        engine.ingest(
             PacketChunk(soa=soa, flows=dataset.flows,
-                        positions=order[position:position + step])
+                        positions=positions[position:position + step])
         )
         position += step
-        if position >= order.size:
+        if position >= positions.size:
             break
-    serving.drain()
-    snapshots["microbatch"] = _snapshot(program, serving.close())
+    engine.drain()
+    return _snapshot(program, engine.close())
 
-    oracle = snapshots["reference"]
-    for name in ("vectorized", "fused", "microbatch"):
-        mismatch = _diff(name, oracle, snapshots[name])
+
+def _first_mismatch(oracle: dict, candidates: dict) -> str | None:
+    for name, snapshot in candidates.items():
+        mismatch = _diff(name, oracle, snapshot)
         if mismatch is not None:
             return mismatch
     return None
 
 
+def _run_engines(model, rules, flows, table_size, chunk_rng, eviction=None) -> str | None:
+    """Replay one trace through all engines; return a mismatch description."""
+    dataset = _dataset(flows)
+    order = dataset.packet_arrays().interleave_order
+
+    def program():
+        return SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
+
+    def replayed(engine):
+        replay_program = program()
+        return _snapshot(replay_program, replay_dataset(replay_program, dataset, engine=engine))
+
+    flush_flows = chunk_rng.choice((1, 2, 8))
+    return _first_mismatch(replayed("reference"), {
+        "vectorized": replayed("vectorized"),
+        "microbatch": _serve(
+            program(), lambda p: MicroBatchEngine(p, flush_flows=flush_flows),
+            dataset, order, chunk_rng,
+        ),
+        "microbatch(one chunk)": _serve(program(), MicroBatchEngine, dataset, order),
+    })
+
+
 def _run_truncated(model, rules, flows, table_size, cut_rng, eviction=None) -> str | None:
     """Streaming vs micro-batch parity on a stream cut off mid-flight."""
     dataset = _dataset(flows)
-    soa = dataset.packet_arrays()
-    order = soa.interleave_order
+    order = dataset.packet_arrays().interleave_order
     cut = cut_rng.randint(0, order.size) if order.size else 0
     prefix = order[:cut]
 
-    snapshots = {}
-    for name, make in (
-        ("streaming", lambda p: StreamingEngine(p)),
-        ("microbatch", lambda p: MicroBatchEngine(p, eager=False)),
-    ):
-        program = SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
-        serving = make(program)
-        serving.open()
-        serving.ingest(PacketChunk(soa=soa, flows=dataset.flows, positions=prefix))
-        serving.drain()
-        snapshots[name] = _snapshot(program, serving.close())
-    return _diff("microbatch(truncated)", snapshots["streaming"], snapshots["microbatch"])
+    def program():
+        return SpliDTDataPlane(model, rules, flow_slots=table_size, eviction=eviction)
+
+    flush_flows = cut_rng.choice((1, 2, 8))
+    return _first_mismatch(_serve(program(), StreamingEngine, dataset, prefix), {
+        "microbatch(truncated)": _serve(program(), MicroBatchEngine, dataset, prefix),
+        "microbatch(truncated, chunked)": _serve(
+            program(), lambda p: MicroBatchEngine(p, flush_flows=flush_flows),
+            dataset, prefix, cut_rng,
+        ),
+    })
 
 
 def _minimize(flows, still_failing) -> list[Flow]:
@@ -428,7 +441,7 @@ def test_eviction_resolves_undecided(splidt_model, splidt_rules):
 
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=1,
                               eviction=policy)
-    result = replay_dataset(program, _dataset(flows), engine="fused")
+    result = replay_dataset(program, _dataset(flows), engine="vectorized")
     stats = program.eviction_stats()
     assert 0 not in result.verdicts
     assert 1 in result.verdicts
@@ -460,5 +473,5 @@ def test_duplicate_five_tuple_goes_scalar(splidt_model, splidt_rules):
 
     # And the reference semantics themselves: the second flow has no verdict.
     program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=64)
-    result = replay_dataset(program, _dataset(flows), engine="fused")
+    result = replay_dataset(program, _dataset(flows), engine="vectorized")
     assert 1 not in result.verdicts

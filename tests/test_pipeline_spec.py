@@ -23,6 +23,7 @@ class TestValidation:
             {"n_flows": 5},
             {"target": "tofino9"},
             {"replay_engine": "turbo"},
+            {"replay_engine": "fused"},  # folded into "vectorized"
             {"lookup": "hash"},
             {"replay_flows": 0},
             {"flow_slots": 0},
@@ -88,9 +89,10 @@ class TestResolution:
         assert ExperimentSpec().resolved_engine() == "vectorized"
 
     def test_bad_env_engine_raises(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENGINE_ENV, "warp")
-        with pytest.raises(SpecError, match="warp"):
-            ExperimentSpec().resolved_engine()
+        for name in ("warp", "fused"):
+            monkeypatch.setenv(REPLAY_ENGINE_ENV, name)
+            with pytest.raises(SpecError, match=name):
+                ExperimentSpec().resolved_engine()
 
     def test_topk_config_for_baselines(self):
         spec = ExperimentSpec(system="netbeacon", depth=8, features_per_subtree=3)

@@ -19,7 +19,7 @@ import pytest
 from repro.baselines import train_topk_model
 from repro.core.config import TopKConfig
 from repro.dataplane import SpliDTDataPlane, TopKDataPlane, replay_dataset
-from repro.datasets.flows import PacketArrays
+from repro.datasets.flows import FiveTuple, Flow, FlowDataset, Packet, PacketArrays
 from repro.datasets.streams import PacketChunk, iter_packet_chunks
 from repro.features.window import window_boundaries
 from repro.serve import (
@@ -117,20 +117,6 @@ class TestMicroBatchParity:
         )
         _assert_identical(reference, result)
 
-    def test_deferred_mode_equals_vectorized_replay(
-        self, splidt_model, splidt_rules, small_dataset
-    ):
-        vectorized = replay_dataset(
-            SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192),
-            small_dataset,
-            engine="vectorized",
-        )
-        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
-        result = _stream(
-            MicroBatchEngine(program, eager=False), _chunks(small_dataset.flows, 64)
-        )
-        _assert_identical(vectorized, result)
-
     def test_truncated_stream_matches_reference_prefix(
         self, splidt_model, splidt_rules, small_dataset
     ):
@@ -147,6 +133,81 @@ class TestMicroBatchParity:
 
         program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
         result = _stream(MicroBatchEngine(program, flush_flows=4), half)
+        _assert_identical(reference, result)
+
+
+#: Three five-tuples that share one slot of an 8192-slot register file, and
+#: one that hashes elsewhere (all four drawn from real synthetic traffic).
+SHARED_SLOT_TUPLES = (
+    FiveTuple(src_ip=176272637, dst_ip=3232242377, src_port=53630, dst_port=1883, protocol=6),
+    FiveTuple(src_ip=175073639, dst_ip=3232237123, src_port=57064, dst_port=1883, protocol=17),
+    FiveTuple(src_ip=173959927, dst_ip=3232246831, src_port=2479, dst_port=34242, protocol=17),
+)
+OTHER_SLOT_TUPLE = FiveTuple(
+    src_ip=172181744, dst_ip=3232285474, src_port=37545, dst_port=65506, protocol=17
+)
+
+
+def _burst(flow_id, five_tuple, start, n_packets, gap, base_size):
+    packets = [
+        Packet(
+            timestamp=round(start + gap * i, 6),
+            size=base_size + (97 * i) % 1200,
+            flags=0x18 if i % 3 == 0 else 0x10,
+            direction=1 if i % 2 == 0 else -1,
+            payload=(53 * i) % 900,
+        )
+        for i in range(n_packets)
+    ]
+    return Flow(five_tuple=five_tuple, packets=packets, label=flow_id % 2,
+                class_name="", flow_id=flow_id)
+
+
+class TestSlotInheritanceAcrossFlushes:
+    """A slot replayed per packet stays per packet in every later flush.
+
+    Flows 0 and 1 overlap in one register slot and both decide, yet the
+    per-packet replay leaves an *undecided* state behind: each verdict goes
+    to the flow whose packet crossed the final window, and the other flow's
+    later packets reclaim the decided slot afresh.  The filler flow's
+    packets (another slot) pass the watermark, so flows 0 and 1 flush on
+    their own; flow 3 arrives later in the same slot and must inherit the
+    leftover state exactly as the reference engine does.
+    """
+
+    @pytest.fixture(scope="class")
+    def flows(self):
+        early, overlapping, late = SHARED_SLOT_TUPLES
+        return [
+            _burst(0, early, 0.0, 25, 0.02, 60),
+            _burst(1, overlapping, 0.015, 16, 0.01, 300),
+            _burst(2, OTHER_SLOT_TUPLE, 0.6, 16, 0.01, 100),
+            _burst(3, late, 1.5, 11, 0.1, 60),
+        ]
+
+    @staticmethod
+    def _reference(model, rules, flows):
+        dataset = FlowDataset(name="shape", description="", flows=flows,
+                              class_names=["a", "b"])
+        program = SpliDTDataPlane(model, rules, flow_slots=8192)
+        return replay_dataset(program, dataset, engine="reference")
+
+    @pytest.mark.parametrize("chunking", (1, 8))
+    def test_microbatch_matches_reference(
+        self, chunking, flows, splidt_model, splidt_rules
+    ):
+        program = SpliDTDataPlane(splidt_model, splidt_rules, flow_slots=8192)
+        slots = [program.indexer.index_for(flow.five_tuple) for flow in flows]
+        assert slots[0] == slots[1] == slots[3] != slots[2]
+        reference = self._reference(splidt_model, splidt_rules, flows)
+        assert {0, 1, 3} <= set(reference.verdicts)
+        # The late flow's verdict depends on the state it inherits.
+        alone = self._reference(splidt_model, splidt_rules, flows[3:])
+        assert alone.verdicts[3].decided_at != reference.verdicts[3].decided_at
+
+        result = _stream(
+            MicroBatchEngine(program, flush_flows=1), _chunks(flows, chunking)
+        )
         _assert_identical(reference, result)
 
 

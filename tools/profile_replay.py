@@ -10,7 +10,7 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/profile_replay.py --dataset D6 --flows 800 \
         --depth 18 --partitions 2 --lookup scan --top 30
     PYTHONPATH=src python tools/profile_replay.py --engine reference --sort tottime
-    PYTHONPATH=src python tools/profile_replay.py --engine fused --json profile.json
+    PYTHONPATH=src python tools/profile_replay.py --json profile.json
     PYTHONPATH=src python tools/profile_replay.py --online --swap-at 0.5
     PYTHONPATH=src python tools/profile_replay.py --scenario ddos-eviction-smoke
 
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--k", type=int, default=4, help="features per subtree")
     parser.add_argument("--partitions", type=int, default=3, help="partitions")
     parser.add_argument("--engine", default="vectorized",
-                        choices=("fused", "vectorized", "reference"),
+                        choices=("vectorized", "reference"),
                         help="replay engine")
     parser.add_argument("--lookup", default="lut", choices=("lut", "scan"),
                         help="model-table lookup strategy")
